@@ -19,14 +19,13 @@ import os
 import sys
 import tempfile
 import time
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
 from . import __version__
-from .grid import Field, Grid, field_to_csv, integral, mean, norm_l2
+from .grid import Field, Grid, field_to_csv, integral, mean, norm_l2, write_table
 from .elliptic import LogisticProblem, SolverError, solve_steady
-from .game import GameSpec, SweepRow, nash_fixed_point, potential_game_counterexample, write_sweep_csv
+from .game import GameSpec, nash_fixed_point, potential_game_counterexample, regulation_sweep, write_sweep_csv
 from .harvest import (
     EQUALITY,
     INEQUALITY,
@@ -38,6 +37,7 @@ from .harvest import (
     j1_eval,
     j1_gradient,
     optimize_single,
+    project,
 )
 from .mfhg import Bistable, MfhgSpec, Monostable, fish_forward, front_speed, mfhg_solve, write_slices_csv
 
@@ -94,9 +94,7 @@ def k_preset(grid: Grid, name: str, params: dict, rng: np.random.Generator | Non
         K0 = float(params.get("K0", 0.5))
         if not (0.0 < K0 <= 0.5):
             raise ConfigError("decreasing-linear needs 0 < K0 <= 0.5 to stay in [0, 1]")
-        if grid.dim == 1:
-            return Field.from_callable(grid, lambda x: 2.0 * K0 * (1.0 - _unit(grid, x, 0)))
-        return Field.from_callable(grid, lambda x, y: 2.0 * K0 * (1.0 - _unit(grid, x, 0)))
+        return Field.from_callable(grid, lambda x, *_: 2.0 * K0 * (1.0 - _unit(grid, x, 0)))
     if name == "random-fourier":
         seed = int(params.get("seed", 0))
         n_modes = int(params.get("n_modes", params.get("modes", 8)))
@@ -106,12 +104,11 @@ def k_preset(grid: Grid, name: str, params: dict, rng: np.random.Generator | Non
             raise ConfigError("random-fourier needs K0 strictly inside (0, 1)")
         gen = np.random.default_rng(seed)
         base = np.zeros(grid.shape)
+        x = _unit(grid, grid.coordinates()[0], 0)
         if grid.dim == 1:
-            x = _unit(grid, grid.coordinates()[0], 0)
             for k in range(1, n_modes + 1):
                 base += gen.standard_normal() / k * np.cos(k * np.pi * x)
         else:
-            x = _unit(grid, grid.coordinates()[0], 0)
             y = _unit(grid, grid.coordinates()[1], 1)
             for i in range(n_modes + 1):
                 for j in range(n_modes + 1):
@@ -173,9 +170,7 @@ def parse_field_spec(grid: Grid, spec: str) -> Field:
         return Field.constant(grid, 1.0 / grid.volume)
     if name == "step":
         x0 = float(params.get("center", 0.5 * (grid.lower[0] + grid.upper[0])))
-        if grid.dim == 1:
-            return Field.from_callable(grid, lambda x: np.where(x < x0, 1.0, 0.0))
-        return Field.from_callable(grid, lambda x, y: np.where(x < x0, 1.0, 0.0))
+        return Field.from_callable(grid, lambda x, *_: np.where(x < x0, 1.0, 0.0))
     if name == "bump":
         x0 = float(params.get("center", 0.5 * (grid.lower[0] + grid.upper[0])))
         width = float(params.get("width", 0.1 * (grid.upper[0] - grid.lower[0])))
@@ -271,8 +266,6 @@ def _solver_options(cfg: dict) -> OptimizeOptions:
 
 
 def _initial_strategies(cfg: dict, grid: Grid, players: list, rng: np.random.Generator):
-    from .harvest import project
-
     kind = cfg.get("solver", {}).get("starts", "constant")
     out = []
     for c in players:
@@ -374,14 +367,11 @@ def _run_nash(cfg, out_dir, rng):
     path = os.path.join(out_dir, "nash.csv")
     report.write_csv(path)
     summary = os.path.join(out_dir, "nash_summary.csv")
-    with open(summary, "w") as fh:
-        fh.write("player,payoff\n")
-        for i, p in enumerate(report.payoffs):
-            fh.write(f"{i + 1},{p:.17g}\n")
-        fh.write(f"total,{report.total_harvest:.17g}\n")
-        fh.write(f"rounds,{report.rounds}\n")
-        fh.write(f"converged,{int(report.converged)}\n")
-        fh.write(f"eps_certificate,{report.eps_nash_certificate:.17g}\n")
+    write_table(summary, ("player", "payoff"),
+                [(i + 1, p) for i, p in enumerate(report.payoffs)]
+                + [("total", report.total_harvest), ("rounds", report.rounds),
+                   ("converged", report.converged),
+                   ("eps_certificate", report.eps_nash_certificate)])
     return {"nash": report.converged}, [path, summary]
 
 
@@ -393,34 +383,20 @@ def _run_sweep(cfg, out_dir, rng):
     if not V0_list:
         raise ConfigError("sweep needs V0_list")
     sec = cfg.get("solver", {})
+    rows = regulation_sweep(problem, len(template), V0_list,
+                            kappa=[c.kappa for c in template], mode=template[0].mode,
+                            tol=float(sec.get("nash_tol", 1e-6)),
+                            max_rounds=int(sec.get("max_rounds", 100)),
+                            options=_solver_options(cfg))
     outputs = []
-
-    def run_one(V0: float):
-        players = [StrategyConstraints(c.kappa, V0, c.mode) for c in template]
-        spec = GameSpec(problem, players,
-                        tol=float(sec.get("nash_tol", 1e-6)),
-                        max_rounds=int(sec.get("max_rounds", 100)),
-                        options=_solver_options(cfg))
-        sub = os.path.join(out_dir, f"V0_{V0:.6g}")
+    for r in rows:
+        sub = os.path.join(out_dir, f"V0_{r.V0:.6g}")
         os.makedirs(sub, exist_ok=True)
-        try:
-            rep = nash_fixed_point(spec)
-        except SolverError:
-            return SweepRow(V0, float("nan"), 0, False, float("nan")), None
-        rep.write_csv(os.path.join(sub, "nash.csv"))
-        return (SweepRow(V0, rep.total_harvest, rep.rounds, rep.converged,
-                         rep.eps_nash_certificate),
-                os.path.join(sub, "nash.csv"))
-
-    workers = int(os.environ.get("FISHGAME_THREADS", "0")) or (os.cpu_count() or 1)
-    workers = max(1, min(workers, len(V0_list)))
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        results = list(pool.map(run_one, V0_list))
-    rows = [r for r, _ in results]
-    outputs += [p for _, p in results if p]
-    path = os.path.join(out_dir, "sweep.csv")
-    write_sweep_csv(rows, path)
-    outputs.append(path)
+        if r.report is not None:
+            outputs.append(os.path.join(sub, "nash.csv"))
+            r.report.write_csv(outputs[-1])
+    outputs.append(os.path.join(out_dir, "sweep.csv"))
+    write_sweep_csv(rows, outputs[-1])
     return {"sweep": all(r.converged for r in rows)}, outputs
 
 
@@ -439,30 +415,22 @@ def _run_asymptotic(cfg, out_dir, rng):
             ("j1_const_projgrad_norm", pg_norm),
             ("j1_const_value", j1_eval(grid, K, const, V0, K0))]
     outputs = []
-    converged = True
     if grid.dim == 1:
         n_pts = int(sec.get("sweep_points", 100))
         length = V0 / c.kappa * (grid.upper[0] - grid.lower[0])
         starts = np.linspace(grid.lower[0], grid.upper[0] - length, n_pts)
         path = os.path.join(out_dir, "j1_sweep.csv")
-        best = (None, -np.inf)
-        with open(path, "w") as fh:
-            fh.write("start,J1\n")
-            for s in starts:
-                val = j1_eval(grid, K, interval_strategy(grid, c.kappa, V0, s), V0, K0)
-                if val > best[1]:
-                    best = (s, val)
-                fh.write(f"{s:.17g},{val:.17g}\n")
-        rows.append(("j1_best_interval_start", best[0]))
-        rows.append(("j1_best_interval_value", best[1]))
+        values = [j1_eval(grid, K, interval_strategy(grid, c.kappa, V0, s), V0, K0)
+                  for s in starts]
+        write_table(path, ("start", "J1"), zip(starts.tolist(), values))
+        best = int(np.argmax(values))
+        rows.append(("j1_best_interval_start", starts[best]))
+        rows.append(("j1_best_interval_value", values[best]))
         outputs.append(path)
     summary = os.path.join(out_dir, "asymptotic.csv")
-    with open(summary, "w") as fh:
-        fh.write("quantity,value\n")
-        for k, v in rows:
-            fh.write(f"{k},{v:.17g}\n")
+    write_table(summary, ("quantity", "value"), rows)
     outputs.append(summary)
-    return {"asymptotic": converged}, outputs
+    return {"asymptotic": True}, outputs
 
 
 def _run_mfhg(cfg, out_dir, rng):
@@ -474,12 +442,10 @@ def _run_mfhg(cfg, out_dir, rng):
     write_slices_csv(state, path, stride)
     masses = [integral(state.field_at("m", k)) for k in range(spec.steps + 1)]
     summary = os.path.join(out_dir, "mfhg_summary.csv")
-    with open(summary, "w") as fh:
-        fh.write("quantity,value\n")
-        fh.write(f"sweeps,{state.sweeps_used}\n")
-        fh.write(f"residual,{state.sweep_residual:.17g}\n")
-        fh.write(f"converged,{int(state.converged)}\n")
-        fh.write(f"mass_drift,{max(abs(m - masses[0]) for m in masses):.17g}\n")
+    write_table(summary, ("quantity", "value"),
+                [("sweeps", state.sweeps_used), ("residual", state.sweep_residual),
+                 ("converged", state.converged),
+                 ("mass_drift", max(abs(m - masses[0]) for m in masses))])
     return {"mfhg": state.converged}, [path, summary]
 
 
@@ -516,10 +482,7 @@ def _run_potential_check(cfg, out_dir, rng):
     V0 = float(cfg.get("potential-check", {}).get("V0", 1.0 / 3.0))
     sym, asym = potential_game_counterexample(problem, V0)
     path = os.path.join(out_dir, "potential.csv")
-    with open(path, "w") as fh:
-        fh.write("pair,value\n")
-        fh.write(f"identical,{sym:.17g}\n")
-        fh.write(f"asymmetric,{asym:.17g}\n")
+    write_table(path, ("pair", "value"), [("identical", sym), ("asymmetric", asym)])
     return {"potential-check": True}, [path]
 
 

@@ -140,7 +140,7 @@ def _solve_reaction_1d(grid: Grid, mu: float, potential: np.ndarray,
 
 
 def _solve_weighted(grid: Grid, A: sp.csr_matrix, rhs: np.ndarray,
-                    rtol: float = LINEAR_RTOL, direct: bool | None = None) -> np.ndarray:
+                    rtol: float = LINEAR_RTOL, direct: bool = False) -> np.ndarray:
     """Solve A x = rhs through the symmetric weighted form W A x = W rhs.
 
     2D uses preconditioned CG unless ``direct`` forces a sparse LU (internal
@@ -150,8 +150,6 @@ def _solve_weighted(grid: Grid, A: sp.csr_matrix, rhs: np.ndarray,
     w = _weights(grid)
     S = sp.diags(w) @ A
     b = w * rhs.reshape(-1)
-    if direct is None:
-        direct = grid.dim == 1
     if direct:
         try:
             lu = spla.splu(S.tocsc())

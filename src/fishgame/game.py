@@ -14,11 +14,12 @@ measures the largest unilateral improvement found.
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass, field as dc_field, replace
 
 import numpy as np
 
-from .grid import Field, mean, norm_l2
+from .grid import Field, grid_rows, mean, norm_l2, write_table
 from .elliptic import LogisticProblem, SolverError, solve_steady
 from .harvest import (
     INEQUALITY,
@@ -82,26 +83,10 @@ class NashReport:
     theta: Field
 
     def write_csv(self, path) -> None:
-        g = self.strategies[0].grid
-        n = len(self.strategies)
-        theta = self.theta
-        head_alpha = ",".join(f"alpha_{i + 1}" for i in range(n))
-        with open(path, "w") as fh:
-            if g.dim == 1:
-                fh.write(f"x,{head_alpha},theta\n")
-                for k, x in enumerate(g.axis(0)):
-                    vals = ",".join(f"{s.values.reshape(-1)[k]:.17g}" for s in self.strategies)
-                    fh.write(f"{x:.17g},{vals},{theta.values.reshape(-1)[k]:.17g}\n")
-            else:
-                fh.write(f"x,y,{head_alpha},theta\n")
-                xs, ys = g.axis(0), g.axis(1)
-                k = 0
-                for i in range(len(xs)):
-                    for j in range(len(ys)):
-                        vals = ",".join(f"{s.values.reshape(-1)[k]:.17g}" for s in self.strategies)
-                        fh.write(f"{xs[i]:.17g},{ys[j]:.17g},{vals},"
-                                 f"{theta.values.reshape(-1)[k]:.17g}\n")
-                        k += 1
+        g = self.theta.grid
+        alphas = tuple(f"alpha_{i + 1}" for i in range(len(self.strategies)))
+        write_table(path, g.axis_names + alphas + ("theta",),
+                    grid_rows(g, *(s.values for s in self.strategies), self.theta.values))
 
 
 def joint_state(problem: LogisticProblem, strategies: list) -> Field:
@@ -244,36 +229,40 @@ class SweepRow:
     rounds: int
     converged: bool
     eps_certificate: float
+    report: NashReport | None = None  # None when the inner solver failed
 
 
 def regulation_sweep(problem: LogisticProblem, n_players: int, V0_list,
-                     kappa: float = 1.0, mode: str = INEQUALITY, tol: float = 1e-6,
-                     max_rounds: int = 100,
+                     kappa: float | Sequence[float] = 1.0, mode: str = INEQUALITY,
+                     tol: float = 1e-6, max_rounds: int = 100,
                      options: OptimizeOptions | None = None) -> list:
     """Total equilibrium harvest as a function of the volume regulation V0.
 
-    Runs the fixed-point iteration from constant starts for each V0 and
-    records what it finds; only equilibria reachable from those starts are
-    reported.  Non-converged entries are flagged, inner-solver failures are
-    recorded as NaN rows rather than aborting the sweep.
+    ``kappa`` is one cap for all players or one per player.  Runs the
+    fixed-point iteration from constant starts for each V0, serially (the
+    work holds the GIL, so threads gain nothing), and records what it finds;
+    only equilibria reachable from those starts are reported.  Non-converged
+    entries are flagged, inner-solver failures are recorded as NaN rows
+    rather than aborting the sweep.
     """
+    kappas = [kappa] * n_players if np.isscalar(kappa) else list(kappa)
+    if len(kappas) != n_players:
+        raise ValueError("kappa needs one value or one per player")
     rows = []
     for V0 in V0_list:
-        players = [StrategyConstraints(kappa, V0, mode) for _ in range(n_players)]
+        players = [StrategyConstraints(k, V0, mode) for k in kappas]
         spec = GameSpec(problem, players, tol=tol, max_rounds=max_rounds,
                         options=options or OptimizeOptions())
         try:
             report = nash_fixed_point(spec)
             rows.append(SweepRow(float(V0), report.total_harvest, report.rounds,
-                                 report.converged, report.eps_nash_certificate))
+                                 report.converged, report.eps_nash_certificate, report))
         except SolverError:
             rows.append(SweepRow(float(V0), float("nan"), 0, False, float("nan")))
     return rows
 
 
 def write_sweep_csv(rows: list, path) -> None:
-    with open(path, "w") as fh:
-        fh.write("V0,total_harvest,rounds,converged,eps_certificate\n")
-        for r in rows:
-            fh.write(f"{r.V0:.17g},{r.total_harvest:.17g},{r.rounds},"
-                     f"{int(r.converged)},{r.eps_certificate:.17g}\n")
+    write_table(path, ("V0", "total_harvest", "rounds", "converged", "eps_certificate"),
+                ((r.V0, r.total_harvest, r.rounds, r.converged, r.eps_certificate)
+                 for r in rows))

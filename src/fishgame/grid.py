@@ -17,6 +17,7 @@ order.
 from __future__ import annotations
 
 import io
+from contextlib import nullcontext
 from dataclasses import dataclass, field
 from functools import lru_cache
 
@@ -32,6 +33,8 @@ __all__ = [
     "norm_l2",
     "norm_sup",
     "field_to_csv",
+    "write_table",
+    "grid_rows",
 ]
 
 
@@ -100,6 +103,18 @@ class Grid:
             return (axes[0],)
         return tuple(np.meshgrid(*axes, indexing="ij"))
 
+    @property
+    def axis_names(self) -> tuple[str, ...]:
+        """Coordinate column names of grid tables: ("x",) or ("x", "y")."""
+        return ("x", "y")[: self.dim]
+
+    def axis_weights(self, k: int) -> np.ndarray:
+        """Trapezoid weights along axis k: h inside, h/2 at both ends."""
+        h = self.spacing[k]
+        w = np.full(self.shape[k], h)
+        w[0] = w[-1] = h / 2
+        return w
+
     def quad_weights(self) -> np.ndarray:
         """Trapezoid quadrature weights, shaped like the grid (cached)."""
         return _quad_weights(self)
@@ -107,12 +122,7 @@ class Grid:
 
 @lru_cache(maxsize=64)
 def _quad_weights(grid: "Grid") -> np.ndarray:
-    per_axis = []
-    for k in range(grid.dim):
-        h = grid.spacing[k]
-        w = np.full(grid.shape[k], h)
-        w[0] = w[-1] = h / 2
-        per_axis.append(w)
+    per_axis = [grid.axis_weights(k) for k in range(grid.dim)]
     out = per_axis[0] if grid.dim == 1 else np.outer(per_axis[0], per_axis[1])
     out.flags.writeable = False
     return out
@@ -255,23 +265,35 @@ def norm_sup(f: Field) -> float:
     return float(np.max(np.abs(f.values)))
 
 
+def write_table(path, header, rows) -> None:
+    """Write a CSV table: one header line, then one line per row.
+
+    The single cell format of every fishgame CSV: strings are written
+    verbatim (labels), everything else as a number with 17 significant
+    digits, so floats round-trip exactly and ints and bools print as
+    ``24`` and ``1``.  ``path`` is a file path or an open text stream; each
+    row is written as it is drawn from ``rows``.
+    """
+    with nullcontext(path) if hasattr(path, "write") else open(path, "w") as fh:
+        fh.write(",".join(header) + "\n")
+        for row in rows:
+            fh.write(",".join([v if isinstance(v, str) else f"{v:.17g}" for v in row]) + "\n")
+
+
+def grid_rows(grid: Grid, *columns):
+    """Rows ``x[, y], *columns`` over the nodes in row-major order (x
+    outermost); each column holds one value per node."""
+    cols = grid.coordinates() + columns
+    return zip(*(c.reshape(-1).tolist() for c in cols))
+
+
 def field_to_csv(f: Field, path=None) -> str:
     """Dump a field as CSV: header ``x[,y],value``, one node per line in
-    row-major order, 17 significant digits.  Returns the CSV text; writes it
-    to ``path`` when given."""
+    row-major order.  Returns the CSV text; writes it to ``path`` when
+    given."""
     buf = io.StringIO()
-    if f.grid.dim == 1:
-        buf.write("x,value\n")
-        for x, v in zip(f.grid.axis(0), f.values):
-            buf.write(f"{x:.17g},{v:.17g}\n")
-    else:
-        buf.write("x,y,value\n")
-        xs, ys = f.grid.axis(0), f.grid.axis(1)
-        for i in range(len(xs)):
-            for j in range(len(ys)):
-                buf.write(f"{xs[i]:.17g},{ys[j]:.17g},{f.values[i, j]:.17g}\n")
-    text = buf.getvalue()
+    write_table(buf, f.grid.axis_names + ("value",), grid_rows(f.grid, f.values))
     if path is not None:
         with open(path, "w") as fh:
-            fh.write(text)
-    return text
+            fh.write(buf.getvalue())
+    return buf.getvalue()

@@ -18,11 +18,12 @@ differences of j1_eval agree to solver precision.
 
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass, field as dc_field
 
 import numpy as np
 
-from .grid import Field, Grid, integral, laplacian_apply, mean, norm_l2
+from .grid import Field, Grid, grid_rows, integral, laplacian_apply, mean, norm_l2, write_table
 from .elliptic import (
     LogisticProblem,
     solve_linear_reaction,
@@ -114,9 +115,7 @@ def interval_strategy(grid: Grid, kappa: float, V0: float, start: float,
     the trapezoid quadrature.  ``reverse`` fills towards smaller x instead.
     """
     xs = grid.axis(0)
-    h = grid.spacing[0]
-    wx = np.full(len(xs), h)
-    wx[0] = wx[-1] = h / 2
+    wx = grid.axis_weights(0)
     length = grid.upper[0] - grid.lower[0]
     target = V0 * length
     order = np.arange(len(xs))
@@ -228,32 +227,16 @@ class OptimizeReport:
     def write_csv(self, path) -> None:
         """Strategy/state/switch columns plus a one-line summary file
         alongside (same stem, .summary.csv)."""
-        import os
-
         g = self.alpha_star.grid
-        cols = [self.alpha_star.values.reshape(-1),
-                self.theta_star.values.reshape(-1),
-                self.switch_function.values.reshape(-1)]
-        with open(path, "w") as fh:
-            if g.dim == 1:
-                fh.write("x,alpha,theta,switch\n")
-                for i, x in enumerate(g.axis(0)):
-                    fh.write(f"{x:.17g},{cols[0][i]:.17g},{cols[1][i]:.17g},{cols[2][i]:.17g}\n")
-            else:
-                fh.write("x,y,alpha,theta,switch\n")
-                xs, ys = g.axis(0), g.axis(1)
-                k = 0
-                for i in range(len(xs)):
-                    for j in range(len(ys)):
-                        fh.write(f"{xs[i]:.17g},{ys[j]:.17g},"
-                                 f"{cols[0][k]:.17g},{cols[1][k]:.17g},{cols[2][k]:.17g}\n")
-                        k += 1
+        write_table(path, g.axis_names + ("alpha", "theta", "switch"),
+                    grid_rows(g, self.alpha_star.values, self.theta_star.values,
+                              self.switch_function.values))
         stem, _ = os.path.splitext(path)
-        with open(stem + ".summary.csv", "w") as fh:
-            fh.write("J,iterations,saturated_volume,projected_gradient_norm,converged\n")
-            fh.write(f"{self.J_value:.17g},{self.iterations},"
-                     f"{int(self.saturated_volume)},{self.projected_gradient_norm:.17g},"
-                     f"{int(self.converged)}\n")
+        write_table(stem + ".summary.csv",
+                    ("J", "iterations", "saturated_volume", "projected_gradient_norm",
+                     "converged"),
+                    [(self.J_value, self.iterations, self.saturated_volume,
+                      self.projected_gradient_norm, self.converged)])
 
 
 def _default_starts(problem: LogisticProblem, c: StrategyConstraints) -> list:

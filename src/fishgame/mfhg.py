@@ -31,7 +31,7 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 from scipy.linalg import solve_banded
 
-from .grid import Field, Grid, gradient, integral
+from .grid import Field, Grid, gradient, grid_rows, integral, write_table
 from .elliptic import SolverError, _laplacian_matrix
 
 __all__ = [
@@ -198,13 +198,6 @@ def hjb_backward(spec: MfhgSpec, u: np.ndarray) -> np.ndarray:
     return V
 
 
-def _axis_weights(grid: Grid, k: int) -> np.ndarray:
-    h = grid.spacing[k]
-    w = np.full(grid.shape[k], h)
-    w[0] = w[-1] = h / 2
-    return w
-
-
 def fp_forward(spec: MfhgSpec, V: np.ndarray) -> np.ndarray:
     """Advance the agent density with conservative upwinded drift (explicit)
     and implicit diffusion; zero total flux through the boundary.
@@ -246,7 +239,7 @@ def fp_forward(spec: MfhgSpec, V: np.ndarray) -> np.ndarray:
             flux = np.where(vel >= 0, vel * m[n][head], vel * m[n][tail])
             # Transverse face measure = the other axis' trapezoid weight.
             if grid.dim == 2:
-                other = _axis_weights(grid, 1 - k)
+                other = grid.axis_weights(1 - k)
                 flux = flux * (other[None, :] if k == 0 else other[:, None])
             pad = [(0, 0)] * grid.dim
             pad[k] = (1, 1)
@@ -341,13 +334,9 @@ def agent_payoff(spec: MfhgSpec, state: MfhgState, x_path: np.ndarray,
     if x_path.shape[0] != spec.steps + 1 or alpha_path.shape[0] != spec.steps + 1:
         raise ValueError("paths must be sampled at every time level")
     grid = spec.grid
-    if grid.dim == 1:
-        x_ref = _reflect(x_path.reshape(-1), grid.lower[0], grid.upper[0])
-    else:
-        x_ref = np.stack(
-            [_reflect(x_path[:, k], grid.lower[k], grid.upper[k]) for k in range(2)],
-            axis=1,
-        )
+    points = x_path.reshape(spec.steps + 1, grid.dim)
+    x_ref = np.stack([_reflect(points[:, k], grid.lower[k], grid.upper[k])
+                      for k in range(grid.dim)], axis=1)
     b2 = b_path.reshape(spec.steps + 1, -1) ** 2
     b2 = b2.sum(axis=1)
     total = 0.0
@@ -375,10 +364,8 @@ class FrontSeries:
         return float(finite[-1])
 
     def write_csv(self, path) -> None:
-        with open(path, "w") as fh:
-            fh.write("t,front_position,speed_estimate\n")
-            for t, pos, sp_ in zip(self.t, self.position, self.speed):
-                fh.write(f"{t:.17g},{pos:.17g},{sp_:.17g}\n")
+        write_table(path, ("t", "front_position", "speed_estimate"),
+                    zip(self.t.tolist(), self.position.tolist(), self.speed.tolist()))
 
 
 def front_speed(spec: MfhgSpec, threshold: float, u: np.ndarray | None = None,
@@ -437,21 +424,7 @@ def write_slices_csv(state: MfhgState, path, stride: int = 1) -> None:
     """Dump t,x[,y],V,m,u rows at every ``stride``-th time level."""
     spec = state.spec
     grid = spec.grid
-    times = spec.times
-    with open(path, "w") as fh:
-        if grid.dim == 1:
-            fh.write("t,x,V,m,u\n")
-            xs = grid.axis(0)
-            for k in range(0, spec.steps + 1, stride):
-                for i, x in enumerate(xs):
-                    fh.write(f"{times[k]:.17g},{x:.17g},{state.V[k][i]:.17g},"
-                             f"{state.m[k][i]:.17g},{state.u[k][i]:.17g}\n")
-        else:
-            fh.write("t,x,y,V,m,u\n")
-            xs, ys = grid.axis(0), grid.axis(1)
-            for k in range(0, spec.steps + 1, stride):
-                for i in range(len(xs)):
-                    for j in range(len(ys)):
-                        fh.write(f"{times[k]:.17g},{xs[i]:.17g},{ys[j]:.17g},"
-                                 f"{state.V[k][i, j]:.17g},{state.m[k][i, j]:.17g},"
-                                 f"{state.u[k][i, j]:.17g}\n")
+    times = spec.times.tolist()
+    rows = ((times[k],) + row for k in range(0, spec.steps + 1, stride)
+            for row in grid_rows(grid, state.V[k], state.m[k], state.u[k]))
+    write_table(path, ("t",) + grid.axis_names + ("V", "m", "u"), rows)

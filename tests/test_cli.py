@@ -118,8 +118,7 @@ max_iter = 200
         (tmp_path / "b" / "optimize.summary.csv").read_bytes()
 
 
-def test_sweep_outputs(tmp_path, monkeypatch):
-    monkeypatch.setenv("FISHGAME_THREADS", "2")
+def test_sweep_outputs(tmp_path):
     cfg_text = """
 [experiment]
 name = sweep
@@ -146,6 +145,43 @@ V0_list = 0.1,0.25
     assert len(lines) == 3
     assert (out / "V0_0.1" / "nash.csv").exists()
     assert (out / "V0_0.25" / "nash.csv").exists()
+
+
+def test_sweep_per_player_kappa(tmp_path):
+    # cosine resources pull the strategies towards x = 0, where the cap of
+    # player 2 binds and that of player 1 does not
+    cfg_text = """
+[experiment]
+name = sweep
+
+[grid]
+nodes = 33
+
+[problem]
+K = cosine:0.5,0.3
+mu = 0.2
+
+[constraints]
+kappa = 1.0,0.5
+V0 = 0.2
+players = 2
+
+[solver]
+max_rounds = 8
+max_iter = 60
+
+[sweep]
+V0_list = 0.2
+"""
+    cfg = write_config(tmp_path / "cfg.ini", cfg_text)
+    out = tmp_path / "out"
+    assert run(cfg, str(out), quiet=True) in (0, 2)
+    rows = np.genfromtxt(out / "V0_0.2" / "nash.csv", delimiter=",", names=True)
+    assert np.max(rows["alpha_1"]) > 0.5 + 1e-3
+    assert np.max(rows["alpha_2"]) <= 0.5 + 1e-12
+    sweep = np.genfromtxt(out / "sweep.csv", delimiter=",", names=True)
+    assert sweep["V0"] == 0.2
+    assert np.isfinite(sweep["total_harvest"])
 
 
 def test_nash_random_starts_seeded(tmp_path):

@@ -204,6 +204,9 @@ def test_regulation_sweep_closed_form(tmp_path):
     assert lines[0] == "V0,total_harvest,rounds,converged,eps_certificate"
     assert len(lines) == 4
 
+    with pytest.raises(ValueError, match="kappa"):
+        regulation_sweep(prob, 3, V0s, kappa=[1.0, 0.5])
+
 
 def test_asymptotic_bang_bang_candidate_is_best_response():
     # constant resources, budgets above K0/4: the pair of left-anchored

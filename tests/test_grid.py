@@ -10,6 +10,7 @@ from fishgame.grid import (
     laplacian_apply,
     mean,
     norm_sup,
+    write_table,
 )
 
 
@@ -134,6 +135,27 @@ def test_field_csv_format():
     # row-major: x outer, y inner
     assert lines2[1] == "0,0,0"
     assert lines2[2] == "0,0.5,5"
+
+
+def test_write_table_literal_bytes(tmp_path):
+    path = tmp_path / "table.csv"
+    write_table(path, ("label", "a", "b"), [
+        ("zero", -0.0, 5e-324),
+        ("special", float("nan"), float("inf")),
+        ("big", 1e300, -float("inf")),
+        ("ints", 24, np.int64(-7)),
+        ("flags", True, np.bool_(False)),
+        ("numpy", np.float64(0.1), 1.0 / 3.0),
+    ])
+    assert path.read_bytes() == (
+        b"label,a,b\n"
+        b"zero,-0,4.9406564584124654e-324\n"
+        b"special,nan,inf\n"
+        b"big,1.0000000000000001e+300,-inf\n"
+        b"ints,24,-7\n"
+        b"flags,1,0\n"
+        b"numpy,0.10000000000000001,0.33333333333333331\n"
+    )
 
 
 def test_sampling_interpolation():
