@@ -274,10 +274,14 @@ def write_table(path, header, rows) -> None:
     ``24`` and ``1``.  ``path`` is a file path or an open text stream; each
     row is written as it is drawn from ``rows``.
     """
+    numeric = ",".join(["%.17g"] * len(header)) + "\n"
     with nullcontext(path) if hasattr(path, "write") else open(path, "w") as fh:
         fh.write(",".join(header) + "\n")
         for row in rows:
-            fh.write(",".join([v if isinstance(v, str) else f"{v:.17g}" for v in row]) + "\n")
+            try:
+                fh.write(numeric % tuple(row))
+            except TypeError:  # a label cell, or a row of another width
+                fh.write(",".join([v if isinstance(v, str) else f"{v:.17g}" for v in row]) + "\n")
 
 
 def grid_rows(grid: Grid, *columns):

@@ -5,9 +5,10 @@ where theta is the positive steady state of the logistic-diffusive equation
 with harvesting rate alpha.  The gradient comes from the adjoint state p
 (solving -mu*lap(p) - p*(K - alpha - 2*theta) = alpha): the L2 gradient
 density is the switch function (1 - p) * theta.  Constrained ascent is a
-projected gradient method with Armijo backtracking; the feasible set is a
-box [0, kappa] intersected with a volume budget (equality or inequality),
-realized by clamping plus a bisection on the additive threshold.
+projected gradient method with Barzilai-Borwein initial steps and Armijo
+backtracking; the feasible set is a box [0, kappa] intersected with a
+volume budget (equality or inequality), realized by clamping plus an exact
+breakpoint search for the additive threshold.
 
 The large-diffusivity expansion J = J0 + J1/mu + O(1/mu^2) is covered by
 j0_eval/j0_argmax (closed forms) and j1_eval/j1_gradient, which work with a
@@ -54,9 +55,6 @@ __all__ = [
 EQUALITY = "equality"
 INEQUALITY = "inequality"
 
-PROJECTION_TAU_TOL = 1e-12
-
-
 @dataclass(frozen=True)
 class StrategyConstraints:
     """Pointwise cap kappa and volume budget V0 (in mean units).
@@ -82,30 +80,26 @@ class StrategyConstraints:
 def project(g: Field, c: StrategyConstraints) -> Field:
     """L2 projection of g onto the feasible strategies.
 
-    Equality: alpha = clamp(g + tau, 0, kappa) with tau found by bisection
-    on the monotone map tau -> mean(clamp(g + tau, 0, kappa)).  Inequality:
-    the plain clamp when it already fits the budget, the equality projection
-    otherwise.
+    Equality: alpha = clamp(g + tau, 0, kappa), with tau found exactly by a
+    breakpoint search (Kiwiel 2008) on the piecewise linear budget map
+    tau -> mean(clamp(g + tau, 0, kappa)).  Inequality: the plain clamp when
+    it already fits the budget, the equality projection otherwise.
     """
-    vals = g.values
-    clamped = np.clip(vals, 0.0, c.kappa)
-    if c.mode == INEQUALITY and mean(Field(g.grid, clamped)) <= c.V0:
-        return Field(g.grid, clamped)
     w = g.grid.quad_weights()
-    vol = g.grid.volume
-    target = c.V0 * vol
-    lo = -float(np.max(vals))
-    hi = c.kappa - float(np.min(vals))
-    for _ in range(200):
-        if hi - lo <= PROJECTION_TAU_TOL:
-            break
-        tau = 0.5 * (lo + hi)
-        m = float(np.sum(w * np.clip(vals + tau, 0.0, c.kappa)))
-        if m < target:
-            lo = tau
-        else:
-            hi = tau
-    return Field(g.grid, np.clip(vals + 0.5 * (lo + hi), 0.0, c.kappa))
+    clamped = np.clip(g.values, 0.0, c.kappa)
+    if c.mode == INEQUALITY and float(np.sum(w * clamped)) / g.grid.volume <= c.V0:
+        return Field(g.grid, clamped)
+    v, w = g.values.reshape(-1), w.reshape(-1)
+    # Node i turns active at kink -v_i (slope +w_i) and capped at kappa - v_i
+    # (slope -w_i, offset +w_i*kappa); the map is 0 at the first kink, so k >= 0.
+    kinks = np.concatenate((-v, c.kappa - v))
+    order = np.argsort(kinks, kind="stable")
+    slope = np.cumsum(np.concatenate((w, -w))[order])
+    offset = np.cumsum(np.concatenate((w * v, w * (c.kappa - v)))[order])
+    target = c.V0 * g.grid.volume
+    k = min(int(np.searchsorted(slope * kinks[order] + offset, target)), len(kinks) - 1) - 1
+    tau = (target - offset[k]) / slope[k]
+    return Field(g.grid, np.clip(v + tau, 0.0, c.kappa))
 
 
 def interval_strategy(grid: Grid, kappa: float, V0: float, start: float,
@@ -222,6 +216,9 @@ class OptimizeReport:
     projected_gradient_norm: float
     saturated_volume: bool
     converged: bool
+    # "pg_tol" (unit-step projected gradient <= tol, i.e. converged),
+    # "line_search_stalled" (no trial step raised J) or "max_iter"
+    stop_reason: str
     start_values: list = dc_field(default_factory=list)
 
     def write_csv(self, path) -> None:
@@ -266,7 +263,11 @@ def _admissible_start(problem: LogisticProblem, c: StrategyConstraints,
 def _ascend(problem: LogisticProblem, c: StrategyConstraints, alpha0: Field,
             opts: OptimizeOptions):
     """Projected gradient ascent from one start.  Returns (alpha, J, theta,
-    iterations, converged).
+    iterations, converged, stop_reason).
+
+    Each line search starts from the Barzilai-Borwein step s.s / s.y of the
+    last move (spectral projected gradient, Birgin, Martinez & Raydan 2000)
+    and backtracks monotonically to the Armijo condition.
 
     States along the line search are solved well below the default residual
     tolerance: the Armijo comparison resolves true increases of order g^2,
@@ -277,18 +278,25 @@ def _ascend(problem: LogisticProblem, c: StrategyConstraints, alpha0: Field,
     alpha = _admissible_start(problem, c, alpha0)
     theta = solve_steady(problem, alpha, tol=steady_tol).solution
     J = mean(alpha * theta)
-    converged = False
+    stop_reason = "max_iter"
+    previous = None  # (alpha, g) at the last iterate
     it = 0
     for it in range(1, opts.max_iter + 1):
         g = gateaux_gradient(problem, alpha, theta)
-        step = opts.step_init
-        cand = project(alpha + step * g, c)
-        if norm_l2(alpha - cand) <= opts.tol * step:
-            converged = True
+        unit = project(alpha + g, c)
+        if norm_l2(alpha - unit) <= opts.tol:
+            stop_reason = "pg_tol"
             break
+        step = opts.step_init
+        if previous is not None:
+            s = alpha - previous[0]
+            sy = integral(s * (previous[1] - g))
+            if sy > 0:
+                step = min(max(integral(s * s) / sy, 1e-10), 1e10)
+        previous = (alpha, g)
         accepted = False
         while step > 1e-14:
-            cand = project(alpha + step * g, c)
+            cand = unit if step == 1.0 else project(alpha + step * g, c)
             drift = integral(g * (cand - alpha))
             if drift <= 0:
                 break
@@ -303,10 +311,9 @@ def _ascend(problem: LogisticProblem, c: StrategyConstraints, alpha0: Field,
                 break
             step *= opts.armijo_shrink
         if not accepted:
-            # No ascent direction left at line-search resolution.
-            converged = norm_l2(alpha - project(alpha + g, c)) <= opts.tol
+            stop_reason = "line_search_stalled"
             break
-    return alpha, J, theta, it, converged
+    return alpha, J, theta, it, stop_reason == "pg_tol", stop_reason
 
 
 def optimize_single(problem: LogisticProblem, c: StrategyConstraints,
@@ -331,17 +338,16 @@ def optimize_single(problem: LogisticProblem, c: StrategyConstraints,
     best = None
     start_values = []
     for label, s0 in starts:
-        alpha, J, theta, iters, conv = _ascend(problem, c, s0, opts)
+        alpha, J, theta, iters, conv, stop_reason = _ascend(problem, c, s0, opts)
         start_values.append((label, J))
         if best is None or J > best[1]:
-            best = (alpha, J, theta, iters, conv)
-    alpha, J, theta, iters, conv = best
-    p = adjoint_state(problem, alpha, theta)
-    switch = (1.0 - p) * theta
+            best = (alpha, J, theta, iters, conv, stop_reason)
+    alpha, J, theta, iters, conv, stop_reason = best
+    switch = gateaux_gradient(problem, alpha, theta)
     pg_norm = norm_l2(alpha - project(alpha + switch, c))
     saturated = abs(mean(alpha) - c.V0) <= 1e-8
     return OptimizeReport(alpha, J, switch, theta, iters, pg_norm, saturated, conv,
-                          start_values)
+                          stop_reason, start_values)
 
 
 def j0_eval(V: float, K0: float) -> float:

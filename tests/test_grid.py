@@ -158,6 +158,29 @@ def test_write_table_literal_bytes(tmp_path):
     )
 
 
+def test_write_table_numeric_rows_literal_bytes(tmp_path):
+    # rows without labels take the one-format-per-row path; their cells must
+    # read exactly as in the labelled rows above
+    path = tmp_path / "table.csv"
+    write_table(path, ("a", "b", "c"), [
+        (-0.0, 5e-324, float("nan")),
+        (float("inf"), 1e300, -float("inf")),
+        (24, np.int64(-7), 2**60),
+        (True, np.bool_(False), np.float32(0.1)),
+        [np.float64(0.1), 1.0 / 3.0, 0],
+        (1.0, 2.0),
+    ])
+    assert path.read_bytes() == (
+        b"a,b,c\n"
+        b"-0,4.9406564584124654e-324,nan\n"
+        b"inf,1.0000000000000001e+300,-inf\n"
+        b"24,-7,1.152921504606847e+18\n"
+        b"1,0,0.10000000149011612\n"
+        b"0.10000000000000001,0.33333333333333331,0\n"
+        b"1,2\n"
+    )
+
+
 def test_sampling_interpolation():
     g = Grid.interval(0, 1, 101)
     f = Field.from_callable(g, lambda x: 2 * x)

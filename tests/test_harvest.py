@@ -119,6 +119,66 @@ def test_project_feasibility_random():
                 assert mean(out) <= 0.2 + 1e-8
 
 
+def bisection_projection(g, c):
+    """The bisection on the additive threshold that project() used before
+    its breakpoint search, kept as the reference."""
+    vals = g.values
+    clamped = np.clip(vals, 0.0, c.kappa)
+    if c.mode == INEQUALITY and mean(Field(g.grid, clamped)) <= c.V0:
+        return clamped
+    w = g.grid.quad_weights()
+    target = c.V0 * g.grid.volume
+    lo = -float(np.max(vals))
+    hi = c.kappa - float(np.min(vals))
+    for _ in range(200):
+        if hi - lo <= 1e-12:
+            break
+        tau = 0.5 * (lo + hi)
+        if float(np.sum(w * np.clip(vals + tau, 0.0, c.kappa))) < target:
+            lo = tau
+        else:
+            hi = tau
+    return np.clip(vals + 0.5 * (lo + hi), 0.0, c.kappa)
+
+
+def test_project_matches_bisection_reference():
+    rng = np.random.default_rng(5)
+    grids = [Grid.interval(0, 1, 129), Grid.interval(0, 2, 40),
+             Grid.rectangle((0, 0), (1, 1), (33, 33)), Grid.rectangle((0, 0), (2, 1), (17, 9))]
+    for grid in grids:
+        for mode in (EQUALITY, INEQUALITY):
+            for kappa in (0.05, 0.25, 1.0, 3.0):
+                for share in (1e-3, 0.1, 0.48, 0.9):
+                    c = StrategyConstraints(kappa, share * kappa, mode)
+                    spread = rng.uniform(0.05, 2.0) * kappa
+                    g = Field(grid, rng.normal(c.V0, spread, grid.shape))
+                    out = project(g, c)
+                    assert np.max(np.abs(out.values - bisection_projection(g, c))) <= 1e-12
+                    if mode == EQUALITY or mean(out) > c.V0:
+                        assert abs(mean(out) - c.V0) <= 1e-13
+
+
+def test_project_edge_cases():
+    for grid in (Grid.interval(0, 1, 129), Grid.rectangle((0, 0), (1, 1), (33, 33))):
+        rng = np.random.default_rng(9)
+        noisy = Field(grid, rng.standard_normal(grid.shape))
+        # V0 == kappa: every node sits at the cap
+        full = StrategyConstraints(0.4, 0.4, EQUALITY)
+        assert norm_sup(project(noisy, full) - 0.4) <= 1e-12
+        # constant input: all kinks tie, a uniform shift onto the budget
+        c = StrategyConstraints(1.0, 0.3, EQUALITY)
+        assert norm_sup(project(Field.constant(grid, 0.9), c) - 0.3) <= 1e-12
+        # already feasible (a bang-bang strategy with a fractional node)
+        feasible = bang_bang_strategy(grid, 1.0, 0.3, "left")
+        assert norm_sup(project(feasible, c) - feasible) <= 1e-12
+        # V0 close to 0
+        tiny = StrategyConstraints(1.0, 1e-9, EQUALITY)
+        out = project(noisy, tiny)
+        assert np.max(np.abs(out.values - bisection_projection(noisy, tiny))) <= 1e-12
+        assert np.min(out.values) >= 0.0
+        assert abs(mean(out) - 1e-9) <= 1e-13
+
+
 def test_bang_bang_exact_mean():
     g = Grid.interval(0, 1, 100)  # even count: interval endpoints off-node
     for side in ("left", "right"):
@@ -277,9 +337,16 @@ def test_l1_stability_ratio_bounded():
 # ------------------------------------------------------------------ optimizer
 
 
+def check_stop_reason(rep):
+    assert rep.stop_reason in ("pg_tol", "line_search_stalled", "max_iter")
+    if rep.converged:
+        assert rep.stop_reason == "pg_tol"
+
+
 def test_optimize_constant_resources_interior():
     prob = unit_problem(257)
     rep = optimize_single(prob, StrategyConstraints(2.0, 0.6, INEQUALITY))
+    check_stop_reason(rep)
     assert norm_sup(rep.alpha_star - 0.5) <= 1e-4
     assert rep.J_value == pytest.approx(0.25, abs=1e-5)
     assert not rep.saturated_volume
@@ -288,6 +355,7 @@ def test_optimize_constant_resources_interior():
 def test_optimize_small_equality_budget():
     prob = unit_problem(257)
     rep = optimize_single(prob, StrategyConstraints(1.0, 0.1, EQUALITY))
+    check_stop_reason(rep)
     assert norm_sup(rep.alpha_star - 0.1) <= 1e-4
     assert rep.saturated_volume
 
@@ -298,6 +366,7 @@ def test_optimize_beats_brute_force_candidates():
     prob = LogisticProblem(g, K, 0.5)
     c = StrategyConstraints(0.8, 0.2, EQUALITY)
     rep = optimize_single(prob, c, OptimizeOptions(tol=1e-9, max_iter=2000))
+    check_stop_reason(rep)
 
     rng = np.random.default_rng(101)
     best = -np.inf
@@ -319,6 +388,9 @@ def test_optimize_kkt_level_set_structure():
     prob = LogisticProblem(g, K, 0.1)
     c = StrategyConstraints(0.25, 0.12, EQUALITY)
     rep = optimize_single(prob, c, OptimizeOptions(tol=1e-10, max_iter=5000))
+    check_stop_reason(rep)
+    assert rep.iterations <= 1000
+    assert rep.projected_gradient_norm <= 1e-7
     alpha = rep.alpha_star.values
     switch = rep.switch_function.values
     interior = (alpha > 1e-6) & (alpha < c.kappa - 1e-6)
@@ -336,8 +408,17 @@ def test_optimize_kkt_level_set_structure():
 def test_optimize_multi_start_reports_all_branches():
     prob = unit_problem(65)
     rep = optimize_single(prob, StrategyConstraints(1.0, 0.3, EQUALITY))
+    check_stop_reason(rep)
     labels = [name for name, _ in rep.start_values]
     assert labels == ["constant", "bang-left", "bang-right"]
+
+
+def test_optimize_stop_reason_max_iter():
+    rep = optimize_single(cosine_problem(65), StrategyConstraints(0.5, 0.2, EQUALITY),
+                          OptimizeOptions(max_iter=1))
+    assert rep.iterations == 1
+    assert rep.stop_reason == "max_iter"
+    assert not rep.converged
 
 
 # -------------------------------------------------------- asymptotic problems
