@@ -19,7 +19,7 @@ from functools import lru_cache
 import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
-from scipy.linalg import solve_banded
+from scipy.linalg.lapack import dgtsv
 
 from .grid import Field, Grid, mean
 
@@ -114,6 +114,21 @@ def _pcg(S: sp.spmatrix, b: np.ndarray, rtol: float, maxiter: int,
     raise SolverError("CG failed to converge")
 
 
+def _neumann_tridiagonal_solve(c: float, diag: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Solve the 1D system with main diagonal ``diag`` and the off-diagonals
+    of -c*h^2*lap (mirrored ghost rows), by LAPACK dgtsv called directly:
+    the routine solve_banded((1, 1), ...) uses, without its input checks."""
+    sup = np.full(len(diag) - 1, -c)
+    sub = sup.copy()
+    sup[0] = sub[-1] = -2.0 * c  # mirrored ghost rows
+    *_, x, info = dgtsv(sub, diag, sup, b)
+    if info > 0:
+        raise SolverError(f"tridiagonal solve failed: zero pivot at row {info}")
+    if not np.all(np.isfinite(x)):
+        raise SolverError("tridiagonal solve produced non-finite values (singular system)")
+    return x
+
+
 def _solve_reaction_1d(grid: Grid, mu: float, potential: np.ndarray,
                        rhs: np.ndarray) -> np.ndarray:
     """Direct tridiagonal solve of (-mu*lap - diag(pot)) x = rhs in 1D.
@@ -121,22 +136,8 @@ def _solve_reaction_1d(grid: Grid, mu: float, potential: np.ndarray,
     Assembles the three bands of the plain (unweighted) operator directly;
     no sparse machinery, so this is cheap enough for inner-loop use.
     """
-    n = grid.shape[0]
-    h = grid.spacing[0]
-    c = mu / h**2
-    ab = np.zeros((3, n))
-    ab[1] = 2.0 * c - potential.reshape(-1)
-    ab[0, 1:] = -c          # superdiagonal, entries A[i, i+1]
-    ab[2, :-1] = -c         # subdiagonal, entries A[i+1, i]
-    ab[0, 1] = -2.0 * c     # mirrored ghost rows
-    ab[2, -2] = -2.0 * c
-    try:
-        x = solve_banded((1, 1), ab, rhs.reshape(-1))
-    except np.linalg.LinAlgError as exc:
-        raise SolverError(f"banded solve failed: {exc}") from exc
-    if not np.all(np.isfinite(x)):
-        raise SolverError("banded solve produced non-finite values (singular system)")
-    return x
+    c = mu / grid.spacing[0] ** 2
+    return _neumann_tridiagonal_solve(c, 2.0 * c - potential.reshape(-1), rhs.reshape(-1))
 
 
 def _solve_weighted(grid: Grid, A: sp.csr_matrix, rhs: np.ndarray,

@@ -107,6 +107,15 @@ def test_linear_reaction_residual_oracle():
     assert norm_sup(residual) < 1e-10
 
 
+def test_linear_reaction_1d_singular_neumann():
+    # zero potential leaves the pure-Neumann operator, whose constant null
+    # space makes the tridiagonal elimination meet an exact zero pivot
+    for n, mu in ((9, 1.0), (129, 0.05), (2001, 1e-3)):
+        g = Grid.interval(0, 1, n)
+        with pytest.raises(SolverError, match="zero pivot"):
+            solve_linear_reaction(g, mu, Field.constant(g, 0.0), Field.constant(g, 1.0))
+
+
 def test_linear_reaction_2d_cg_path():
     g = Grid.rectangle((0, 0), (1, 1), (25, 25))
     pot = Field.constant(g, -1.0)

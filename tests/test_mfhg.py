@@ -2,9 +2,13 @@ import warnings
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 
+from fishgame.elliptic import _laplacian_matrix
 from fishgame.grid import Field, Grid, integral, norm_sup
 from fishgame.mfhg import (
+    _DiffusionStep,
     Bistable,
     MfhgSpec,
     Monostable,
@@ -50,6 +54,24 @@ def test_spec_validation():
     with pytest.raises(ValueError):
         Bistable(a=0.7, require_invasion=True)
     assert Bistable(a=0.25)(1.0) == 0.0
+
+
+@pytest.mark.parametrize("grid", [
+    Grid.interval(0, 1, 9),
+    Grid.interval(0, 1, 129),
+    Grid.rectangle((0, 0), (1, 2), (17, 25)),  # non-square, unequal spacing
+], ids=["1d-9", "1d-129", "2d-17x25"])
+def test_diffusion_step_matches_sparse_reference(grid):
+    rng = np.random.default_rng(grid.node_count)
+    for coef, dt in ((0.2, 2.5e-3), (1.0, 1e-2), (0.5, 0.1)):
+        rhs = rng.uniform(0.0, 1.0, grid.shape)
+        A = sp.identity(grid.node_count) + dt * coef * (-_laplacian_matrix(grid))
+        ref = spla.spsolve(A.tocsc(), rhs.reshape(-1)).reshape(grid.shape)
+        x = _DiffusionStep(grid, coef, dt)(rhs)
+        assert x.shape == grid.shape
+        assert np.max(np.abs(x - ref)) <= 1e-13 * np.max(np.abs(ref))
+        mass = integral(Field(grid, rhs))
+        assert abs(integral(Field(grid, x)) - mass) <= 1e-14 * mass
 
 
 def test_hjb_zero_fish_zero_value():
@@ -185,6 +207,23 @@ def test_mfhg_coupled_conservation_and_terminal():
         assert np.min(state.m[k]) >= 0.0
         assert np.min(state.u[k]) >= 0.0
     assert np.max(np.abs(state.V[-1])) == 0.0
+
+
+def test_mfhg_2d_conservation_and_determinism():
+    g = Grid.rectangle((0, 0), (1, 1), (17, 17))
+    bump = Field.from_callable(
+        g, lambda x, y: np.exp(-(((x - 0.4) / 0.15) ** 2 + ((y - 0.55) / 0.15) ** 2)))
+    u0 = Field.from_callable(g, lambda x, y: 0.5 + 0.3 * np.cos(np.pi * x) * np.cos(np.pi * y))
+    spec = make_spec(g, T=0.4, steps=40, nu=0.2, mu=0.5, u0=u0,
+                     m0=Field(g, bump.values / integral(bump)))
+    state = mfhg_solve(spec)
+    assert state.converged and state.sweeps_used > 1
+    masses = [integral(state.field_at("m", k)) for k in range(spec.steps + 1)]
+    assert max(abs(m - masses[0]) for m in masses) <= 1e-12
+    assert np.min(state.m) >= 0.0
+    again = mfhg_solve(spec)
+    for name in ("V", "m", "u"):
+        assert np.array_equal(getattr(state, name), getattr(again, name))
 
 
 def test_mfhg_self_convergence_in_dt():
